@@ -13,6 +13,13 @@ matrix to pre-classify each type of atom") is reproduced by
 ``sort_neighbors_by_type=True``: neighbours are grouped by species so the
 per-type embedding nets operate on contiguous slices instead of slicing and
 concatenating intermediate matrices.
+
+The build is two stable per-row sorts over the ``(n, width)`` neighbour-list
+slots, with no Python-level per-atom loop.  The first sorts by distance and
+keeps the ``max_neighbors`` closest in-cutoff slots.  The second, only with
+``sort_neighbors_by_type``, groups those kept slots by species.  Stability
+makes distance, then list-slot order, the tie-breaks, exactly as in the scalar
+golden reference of :mod:`repro.deepmd.scalar`.
 """
 
 from __future__ import annotations
@@ -25,6 +32,9 @@ from ..md.atoms import Atoms
 from ..md.box import Box
 from ..md.neighbor import NeighborData
 from .smoothing import switching_derivative, switching_function
+
+#: Sort key that places the padding (not kept) slots after every species.
+_PAD_KEY = np.iinfo(np.int64).max
 
 
 @dataclass
@@ -139,57 +149,9 @@ def build_local_environment(
     n_pad = nei.shape[1] if max_neighbors is None else int(max_neighbors)
     n_pad = max(n_pad, 1)
 
-    positions = atoms.positions
-    types = atoms.types
-
-    # Gather displacement vectors for every (centre, slot) pair.
-    slot_valid = nei >= 0
-    safe_idx = np.where(slot_valid, nei, 0)
-    disp = positions[safe_idx] - positions[:, None, :]
-    disp = box.minimum_image(disp)
-    dist = np.linalg.norm(disp, axis=2)
-    within = slot_valid & (dist > 0.0) & (dist <= cutoff)
-
-    # Compact each row to the leading slots, optionally grouped by type then
-    # by distance (deterministic ordering aids reproducibility and mirrors the
-    # paper's pre-classified layout).  The whole compaction runs as one global
-    # lexsort over all (centre, slot) pairs — no Python-level per-atom loop.
-    # The scalar per-atom version of this layout lives in
-    # :mod:`repro.deepmd.scalar` and pins this implementation in the parity
-    # test suite.
-    nei_types_raw = np.where(slot_valid, types[safe_idx], -1)
-    width = nei.shape[1]
-
-    # Budget truncation: among the in-cutoff slots of each row, keep the
-    # ``n_pad`` closest (distance ties broken by slot order, as the scalar
-    # reference does with its stable argsort).
-    dist_key = np.where(within, dist, np.inf)
-    order_by_dist = np.argsort(dist_key, axis=1, kind="stable")
-    if workspace is not None:
-        rank = workspace.buffer("dp.env.rank", (n, width), dtype=np.int64)
-    else:
-        rank = np.empty((n, width), dtype=np.int64)  # reprolint: allow[alloc] workspace-less reference branch allocates per call by design
-    np.put_along_axis(
-        rank, order_by_dist, np.broadcast_to(np.arange(width), (n, width)), axis=1
-    )
-    kept = within & (rank < n_pad)
-
-    # One global stable lexsort: row-major, valid slots first, then by
-    # (type, distance) or by distance alone; remaining ties fall back to the
-    # original slot order via stability.
-    type_key = nei_types_raw if sort_neighbors_by_type else np.zeros_like(nei_types_raw)
-    rows = np.repeat(np.arange(n), width)
-    perm = np.lexsort((dist.ravel(), type_key.ravel(), (~kept).ravel(), rows))
-
-    # After the sort, position p belongs to centre p // width; the kept slots
-    # of each centre occupy its leading positions, i.e. output slot p % width.
-    pos = np.nonzero(kept.ravel()[perm])[0]
-    src = perm[pos]
-    out_r = pos // width
-    out_s = pos % width
-    src_r = src // width
-    src_c = src % width
-
+    # The outputs outlive the build, so they are allocated before its
+    # temporaries: the temporaries then free as one block above them instead
+    # of leaving holes between long-lived arrays.
     if workspace is not None:
         R = workspace.zeros("dp.env.R", (n, n_pad, 4))
         displacements = workspace.zeros("dp.env.displacements", (n, n_pad, 3))
@@ -207,11 +169,36 @@ def build_local_environment(
         neighbor_indices = np.full((n, n_pad), -1, dtype=np.int64)  # reprolint: allow[alloc] workspace-less reference branch allocates per call by design
         neighbor_types = np.full((n, n_pad), -1, dtype=np.int64)  # reprolint: allow[alloc] workspace-less reference branch allocates per call by design
 
-    displacements[out_r, out_s] = disp[src_r, src_c]
-    distances[out_r, out_s] = dist[src_r, src_c]
-    neighbor_indices[out_r, out_s] = nei[src_r, src_c]
-    neighbor_types[out_r, out_s] = nei_types_raw[src_r, src_c]
-    mask[out_r, out_s] = 1.0
+    types = atoms.types
+    disp, dist, within = _within_cutoff(atoms, box, neighbors, cutoff)
+
+    # Compact each row to its leading slots with two stable per-row sorts
+    # (the scalar per-atom version of this layout in :mod:`repro.deepmd.scalar`
+    # pins it in the parity test suite).  Sort 1 orders every list slot by
+    # distance, out-of-cutoff slots last, so its first ``min(width, n_pad)``
+    # columns are exactly the kept set: the ``n_pad`` closest in-cutoff
+    # neighbours, distance ties broken by slot order as the scalar reference
+    # does with its stable argsort.
+    width = nei.shape[1]
+    n_keep = min(width, n_pad)
+    rows = np.arange(n)[:, None]
+    order = np.argsort(np.where(within, dist, np.inf), axis=1, kind="stable")[:, :n_keep]
+    kept = within[rows, order]
+    if sort_neighbors_by_type:
+        # Sort 2 groups the candidates by species (the paper's pre-classified
+        # layout).  Stability keeps distance, then slot order, within a type,
+        # and the padding key keeps the kept slots leading, so ``kept`` is
+        # unchanged.
+        cand_types = types[np.where(kept, nei[rows, order], 0)]
+        by_type = np.argsort(np.where(kept, cand_types, _PAD_KEY), axis=1, kind="stable")
+        order = order[rows, by_type]
+    nei_kept = nei[rows, order]
+
+    np.copyto(displacements[:, :n_keep], disp[rows, order], where=kept[..., None])
+    np.copyto(distances[:, :n_keep], dist[rows, order], where=kept)
+    np.copyto(neighbor_indices[:, :n_keep], nei_kept, where=kept)
+    np.copyto(neighbor_types[:, :n_keep], types[np.where(kept, nei_kept, 0)], where=kept)
+    np.copyto(mask[:, :n_keep], 1.0, where=kept)
 
     s_values = switching_function(distances, cutoff, cutoff_smooth) * mask
     ds_values = switching_derivative(distances, cutoff, cutoff_smooth) * mask
@@ -243,13 +230,23 @@ def suggested_max_neighbors(atoms: Atoms, box: Box, neighbors: NeighborData, cut
     The paper quotes 46/92/512 neighbours for H/O/Cu at the benchmark cutoffs;
     the suggestion here simply measures the actual maximum and adds a margin.
     """
+    _, _, within = _within_cutoff(atoms, box, neighbors, cutoff)
+    max_count = int(within.sum(axis=1).max()) if len(atoms) else 0
+    return max(int(np.ceil(max_count * margin)), 1)
+
+
+def _within_cutoff(atoms: Atoms, box: Box, neighbors: NeighborData, cutoff: float):
+    """``(disp, dist, within)`` for every (centre, list slot) pair.
+
+    ``disp`` is the minimum-image d_ij, ``dist`` its norm, and ``within``
+    marks the real list slots with ``0 < dist <= cutoff``.  Padding slots
+    (index -1) gather atom 0 and are never ``within``.
+    """
     positions = atoms.positions
     nei = neighbors.neighbors
     valid = nei >= 0
     safe_idx = np.where(valid, nei, 0)
-    disp = positions[safe_idx] - positions[:, None, :]
-    disp = box.minimum_image(disp)
+    disp = box.minimum_image(positions[safe_idx] - positions[:, None, :])
     dist = np.linalg.norm(disp, axis=2)
     within = valid & (dist > 0.0) & (dist <= cutoff)
-    max_count = int(within.sum(axis=1).max()) if len(positions) else 0
-    return max(int(np.ceil(max_count * margin)), 1)
+    return disp, dist, within

@@ -9,7 +9,7 @@ and :mod:`repro.serving.serial` for the frozen one-at-a-time references.
 """
 
 from .batch import SystemBatch, pack_systems, prepare_system
-from .engine import ServingEngine
+from .engine import NonFiniteInputError, ServingEngine
 from .queue import AdmissionQueue, BurstResult, ServingFuture, ServingRequest, ServingStats
 from .serial import evaluate_serial, run_bursts_serial
 
@@ -17,6 +17,7 @@ __all__ = [
     "SystemBatch",
     "pack_systems",
     "prepare_system",
+    "NonFiniteInputError",
     "ServingEngine",
     "AdmissionQueue",
     "BurstResult",

@@ -41,7 +41,7 @@ from ..md.workspace import Workspace
 from .batch import pack_systems
 from .queue import AdmissionQueue, BurstResult, ServingRequest, ServingStats
 
-__all__ = ["ServingEngine"]
+__all__ = ["NonFiniteInputError", "ServingEngine"]
 
 #: Pipeline slots cycled by the prep stage.  Three are needed for full
 #: overlap: one batch being computed, one waiting in the hand-off queue and
@@ -50,6 +50,25 @@ __all__ = ["ServingEngine"]
 _N_SLOTS = 3
 
 _STOP = object()
+
+
+class NonFiniteInputError(ValueError):
+    """A submitted system has a NaN or infinite position or velocity.
+
+    Raised by :meth:`ServingEngine.submit` / :meth:`ServingEngine.submit_md`
+    before the request is queued.  Without the check such a system would
+    come back with a *finite* energy: the environment-matrix build drops
+    every slot whose distance is NaN, so the bad atom silently vanishes.
+    """
+
+
+def _require_finite(atoms, fields) -> None:
+    for name in fields:
+        bad = ~np.isfinite(getattr(atoms, name)).all(axis=1)
+        if bad.any():
+            raise NonFiniteInputError(
+                f"non-finite {name} for atom(s) {np.flatnonzero(bad)[:8].tolist()}"
+            )
 
 
 class ServingEngine:
@@ -136,15 +155,26 @@ class ServingEngine:
     # client surface
     # ------------------------------------------------------------------
     def submit(self, atoms, box):
-        """Queue an energy/force one-shot; returns a ServingFuture of ModelOutput."""
-        request = ServingRequest(kind="energy", atoms=atoms.copy(), box=box)
+        """Queue an energy/force one-shot; returns a ServingFuture of ModelOutput.
+
+        Raises :class:`NonFiniteInputError` for a NaN or infinite position.
+        """
+        atoms = atoms.copy()
+        _require_finite(atoms, ("positions",))
+        request = ServingRequest(kind="energy", atoms=atoms, box=box)
         return self._queue.submit(request)
 
     def submit_md(self, atoms, box, n_steps: int, timestep_fs: float):
-        """Queue a short MD burst; returns a ServingFuture of BurstResult."""
+        """Queue a short MD burst; returns a ServingFuture of BurstResult.
+
+        Raises :class:`NonFiniteInputError` for a NaN or infinite position or
+        velocity.
+        """
+        atoms = atoms.copy()
+        _require_finite(atoms, ("positions", "velocities"))
         request = ServingRequest(
             kind="md",
-            atoms=atoms.copy(),
+            atoms=atoms,
             box=box,
             n_steps=int(n_steps),
             timestep_fs=float(timestep_fs),

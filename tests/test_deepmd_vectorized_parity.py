@@ -135,6 +135,52 @@ class TestEnvironmentMatrixParity:
         # the extra slots are pure padding
         assert np.all(env_vec.mask[:, neighbors.max_neighbors:] == 0.0)
 
+    @pytest.mark.parametrize("max_nei", [None, 30, 18, 12, 5])
+    def test_exact_distance_ties_on_unperturbed_lattice(self, max_nei):
+        """A perfect fcc lattice: each shell is a handful of exactly tied distances.
+
+        Each atom's 42 neighbours (the 12/6/24 shells inside 4.5 A) take
+        at most 12 distinct float values (minimum image rounds a shell into a
+        few ULP-apart groups), so which slots a budget keeps and their order
+        is decided by the stable list-slot tie-break alone.
+        """
+        atoms, box = copper_system((3, 3, 3), perturbation=0.0, rng=0)
+        cutoff, smooth = 4.5, 3.8
+        neighbors = build_neighbor_data(atoms.positions, box, cutoff, skin=0.5)
+        full = build_local_environment_scalar(atoms, box, neighbors, cutoff, smooth)
+        assert np.all(full.neighbor_counts() == 42)
+        distinct = [len(np.unique(row[m > 0.0])) for row, m in zip(full.distances, full.mask)]
+        assert max(distinct) <= 12, "the lattice distances must tie exactly"
+        for sort in (True, False):
+            env_vec = build_local_environment(
+                atoms, box, neighbors, cutoff, smooth,
+                max_neighbors=max_nei, sort_neighbors_by_type=sort,
+            )
+            env_ref = build_local_environment_scalar(
+                atoms, box, neighbors, cutoff, smooth,
+                max_neighbors=max_nei, sort_neighbors_by_type=sort,
+            )
+            assert_env_equal(env_vec, env_ref)
+
+    def test_water_box_at_production_cutoffs(self):
+        """The 648-atom water box at 6.0/5.0 A with a 1.5 A skin, budgets
+        above and below the densest row (truncating only the crowded rows)."""
+        atoms, box, _ = water_system(216, rng=0)
+        cutoff, smooth = 6.0, 5.0
+        neighbors = build_neighbor_data(atoms.positions, box, cutoff, skin=1.5)
+        densest = int(build_local_environment(atoms, box, neighbors, cutoff, smooth).neighbor_counts().max())
+        for max_nei in (densest + 9, densest, densest - 12):
+            for sort in (True, False):
+                env_vec = build_local_environment(
+                    atoms, box, neighbors, cutoff, smooth,
+                    max_neighbors=max_nei, sort_neighbors_by_type=sort,
+                )
+                env_ref = build_local_environment_scalar(
+                    atoms, box, neighbors, cutoff, smooth,
+                    max_neighbors=max_nei, sort_neighbors_by_type=sort,
+                )
+                assert_env_equal(env_vec, env_ref)
+
 
 class TestInferenceParity:
     @pytest.mark.parametrize("kind", ["water", "copper"])

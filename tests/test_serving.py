@@ -17,6 +17,7 @@ from repro.md.box import Box
 from repro.md.neighbor import build_neighbor_data
 from repro.md.workspace import Workspace
 from repro.serving import (
+    NonFiniteInputError,
     ServingEngine,
     evaluate_serial,
     pack_systems,
@@ -279,6 +280,30 @@ class TestServingEngine:
             atoms.positions[:] = 0.0  # client mutates after submit
             out = future.result(timeout=60)
         assert np.abs(out.forces).max() > 0.0  # evaluated the snapshot, not the zeros
+
+    @pytest.mark.parametrize("kind", ["energy", "md"])
+    @pytest.mark.parametrize("bad_value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_positions_rejected_before_queueing(self, serving_model, kind, bad_value):
+        atoms, box, _ = _mixed_systems(serving_model)[0]
+        bad = atoms.copy()
+        bad.positions[2, 1] = bad_value
+        with ServingEngine(serving_model, max_batch_size=4, max_wait_ms=1.0) as engine:
+            submit = engine.submit if kind == "energy" else (
+                lambda a, b: engine.submit_md(a, b, 2, 0.5)
+            )
+            with pytest.raises(NonFiniteInputError, match=r"positions for atom\(s\) \[2\]"):
+                submit(bad, box)
+            # nothing was queued, and the engine keeps serving finite systems
+            submit(atoms, box).result(timeout=60)
+            assert engine.stats.n_requests == 1
+
+    def test_non_finite_md_velocities_rejected(self, serving_model):
+        atoms, box, _ = _mixed_systems(serving_model)[0]
+        atoms.velocities[0, 0] = np.nan
+        engine = ServingEngine(serving_model)  # never started: the check runs at submit
+        with pytest.raises(NonFiniteInputError, match="velocities"):
+            engine.submit_md(atoms, box, 2, 0.5)
+        assert issubclass(NonFiniteInputError, ValueError)
 
 
 # ---------------------------------------------------------------------------
